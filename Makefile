@@ -10,7 +10,7 @@ PYTHON ?= python
 BENCH_FLAGS = --benchmark-sort=name --benchmark-columns=min,mean,stddev,rounds \
 	--benchmark-warmup=on --benchmark-warmup-iterations=2 --benchmark-disable-gc
 
-.PHONY: install verify lint typecheck test test-fast docs-check bench bench-smoke bench-faults-smoke bench-perf bench-perf-smoke bench-scale-smoke guards-smoke chaos-smoke serve-smoke verify-smoke figures examples clean
+.PHONY: install verify lint typecheck test test-fast docs-check bench bench-smoke bench-faults-smoke bench-perf bench-perf-smoke bench-scale-smoke bench-e2e guards-smoke chaos-smoke serve-smoke verify-smoke figures examples clean
 
 # The default verify path: repo-specific static analysis, type checking,
 # the fast test tier, executable-docs check, a guarded fault-recovery
@@ -104,6 +104,18 @@ bench-scale-smoke:
 		--baseline bench_reports/perf_baseline.json --threshold 1.0 \
 		--select 'test_scale_*'; \
 	status=$$?; rm -f $$tmp; exit $$status
+
+# The end-to-end benchmark (BENCHMARK.json, e2ebench/README.md): each of
+# its four workloads once, untraced, at seed SEED; prints every run's final
+# JSON line under the workload's name.  Each run takes about half a minute,
+# so this stays out of `verify`.
+SEED ?= 1
+bench-e2e:
+	@for w in packet_fig6 fluid_six_jobs fluid_fabric serve_churn; do \
+		out=$$(python3 e2ebench/run.py --workload $$w --seed $(SEED) --trace 0) \
+			|| { echo "$$out" | tail -n 20; exit 1; }; \
+		echo "# $$w"; echo "$$out" | tail -n 1; \
+	done
 
 # Both substrates through the guarded fault-recovery experiment with every
 # invariant monitor armed in `raise` mode: one genuine violation aborts the

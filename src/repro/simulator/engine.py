@@ -20,9 +20,13 @@ Performance notes (see docs/PERFORMANCE.md for measurements):
   that want an object with ``.cancel()`` (rare, timer-style code) can use
   :meth:`Simulator.schedule_handle`, which wraps the entry in a
   ``__slots__`` :class:`EventHandle`.
-* The hot ``run()`` loop binds ``heappop``/the queue to locals and has a
-  branch-free fast path when no horizon, event budget, or calendar
-  front-end is active.
+* The hot ``run()`` loop binds ``heappop``/the queue to locals and runs
+  whenever no event budget, calendar front-end or monitor is active,
+  with or without a horizon: it pops the next entry and, if it lies past
+  ``until``, pushes the same ``[t, seq, cb]`` back (the heap order is
+  total, so nothing reorders) and stops the clock at ``until``.
+  Everything else takes the general loop, which dispatches in exactly
+  the same order.
 * ``Simulator(calendar=True)`` enables an optional bucketed "calendar"
   front-end: events that share an *exact* timestamp are appended to a
   per-time bucket and the heap holds one marker per distinct time, so N
@@ -35,6 +39,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from itertools import count
+from math import inf
 from typing import Any, Callable, Deque, Dict, List, Optional, Protocol
 
 __all__ = [
@@ -145,7 +150,7 @@ class Simulator:
         backwards (``engine-monotonic``) and the clock keeps advancing
         (``engine-stall``: ``stall_event_limit`` consecutive events at one
         timestamp is a zero-delay livelock).  When ``None`` (the default)
-        the branch-free hot path runs and nothing is paid.
+        the hot loop runs and nothing is paid.
     :param stall_event_limit: events allowed at a single timestamp before
         the monitor's ``engine-stall`` guard fires (once per run).
     """
@@ -264,26 +269,29 @@ class Simulator:
         queue = self._queue
         processed = 0
         try:
-            if (
-                until is None
-                and max_events is None
-                and not self._calendar
-                and self._monitor is None
-            ):
-                # Hot path: no horizon, no budget, plain heap, no monitor.
+            if max_events is not None or self._calendar or self._monitor is not None:
+                processed = self._run_general(until, max_events)
+            else:
+                # Hot path: plain heap, no budget, no monitor.  An entry
+                # past the horizon goes back on the heap (cancelled or not)
+                # for a later run().
+                horizon = inf if until is None else until
                 pop = heappop
                 while queue:
                     entry = pop(queue)
+                    time = entry[0]
+                    if time > horizon:
+                        heappush(queue, entry)
+                        self.now = horizon
+                        break
                     cb = entry[2]
                     if cb is None:
                         self._cancelled -= 1
                         continue
                     entry[2] = _FIRED
-                    self.now = entry[0]
+                    self.now = time
                     cb()
                     processed += 1
-            else:
-                processed = self._run_general(until, max_events)
             if until is not None and self.now < until:
                 self.now = until
         finally:
@@ -293,8 +301,8 @@ class Simulator:
     def _run_general(
         self, until: Optional[float], max_events: Optional[int]
     ) -> int:
-        """Slow-path loop: horizons, event budgets, calendar buckets,
-        monitored invariant checks."""
+        """General loop: event budgets, calendar buckets and monitored
+        invariant checks, with or without a horizon."""
         queue = self._queue
         processed = 0
         monitor = self._monitor

@@ -17,21 +17,28 @@ Bernoulli :meth:`fault loss <set_fault_loss>` layered on top of
 that CE-marks every ECN-capable packet it serializes.  All four revert
 cleanly, so a schedule of faults replays deterministically.
 
-Performance notes (docs/PERFORMANCE.md): for FIFO disciplines the link
-*plans* each packet's serialization at enqueue time — start and finish
-instants are computed by accumulating transmission times exactly as the
-old per-packet event chain did (bit-identical floats), and a single
-delivery event per packet is scheduled up front.  That halves the event
-count of the old design (transmit-complete + delivery per packet) for
-back-to-back bursts.  Planned packets stay in the queue buffer until
-their start instant passes ("settling", done lazily at the next send or
-fault hook), so queue-length observables — DCTCP's marking threshold,
-drop-tail capacity — see exactly the occupancy the old design exposed.
-Fault hooks settle, cancel the not-yet-started deliveries (O(1) each via
-``Simulator.cancel``), and re-plan under the new link state, which
-reproduces the old pop-time semantics for rate changes and ECN storms.
-Priority queues (pFabric) reorder on arrival, so they keep the legacy
-per-packet event chain.
+Performance notes (docs/PERFORMANCE.md): a FIFO link costs exactly one
+engine event per packet — its delivery.  At enqueue time the link *plans*
+each packet's serialization: start and finish instants accumulate
+transmission times exactly as a per-packet transmit-complete chain would
+(bit-identical floats), and the delivery event is scheduled up front.
+Deliveries on one link fire in plan order, so the in-flight packets wait
+in a per-link deque and every delivery event shares one pre-bound
+callback that pops the head; no closure is built per packet.  Planned
+packets stay in the queue buffer until their start instant passes
+("settling", done lazily at the next send or fault hook, never by an
+event of its own), so queue-length observables — DCTCP's marking
+threshold, drop-tail capacity — see exactly the occupancy a pop-at-
+transmit design exposes.  The counters (:attr:`Link.bits_sent`,
+:attr:`Link.packets_sent`, :attr:`Link.storm_marks`) and
+:meth:`Link.conservation_delta` are exact at any instant, settled or
+not; ``len(link.queue)`` between sends still counts started packets the
+link has not settled.  Fault hooks settle, cancel the not-yet-started
+deliveries (O(1) each via ``Simulator.cancel``, popping the in-flight
+tail), and re-plan under the new link state, which reproduces pop-time
+semantics for rate changes and ECN storms.  Priority queues (pFabric)
+reorder on arrival, so they keep a per-packet transmit-complete event
+ahead of the delivery.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .engine import EventEntry, Simulator
+from .engine import Simulator
 from .packet import DEFAULT_POOL, Packet
 from .queues import DropTailQueue, QueueDiscipline
 
@@ -80,7 +87,8 @@ class Link:
         self._deliver = deliver
         self.random_loss = random_loss
         self._loss_rng = loss_rng if loss_rng is not None else np.random.default_rng(0)
-        self._busy = False
+        #: Packets whose delivery event is scheduled, in delivery order.
+        self._in_flight: deque[Packet] = deque()
         # Burst planning (FIFO disciplines only; see module docstring).
         self._fifo = isinstance(self.queue, DropTailQueue)
         self._plan: deque[_PlanEntry] = deque()
@@ -88,7 +96,8 @@ class Link:
         self._wire_free_at = 0.0
         #: Finish instant of the last *settled* (started) transmission.
         self._settled_until = 0.0
-        self._burst_entry: Optional[EventEntry] = None
+        #: Packet on the wire of the per-packet (non-FIFO) chain.
+        self._serializing: Optional[Packet] = None
         # Fault-injection state (see repro.faults.packet).
         self.up = True
         self.rate_factor = 1.0
@@ -132,14 +141,11 @@ class Link:
                 DEFAULT_POOL.release(packet)  # tail drop, counted by the queue
                 return
             self._plan_packet(packet)
-            if self._burst_entry is None:
-                self._burst_entry = self.sim.schedule_at(
-                    self._wire_free_at, self._on_burst_end
-                )
             return
         if not self.queue.push(packet):
-            return  # tail drop, counted by the queue
-        if not self._busy:
+            DEFAULT_POOL.release(packet)  # tail drop, counted by the queue
+            return
+        if self._serializing is None:
             self._transmit_next()
 
     # -- fault-injection hooks --------------------------------------------
@@ -164,7 +170,7 @@ class Link:
         self.up = True
         if self._fifo:
             self._replan_buffer()
-        elif not self._busy:
+        elif self._serializing is None:
             self._transmit_next()
 
     def set_rate_factor(self, factor: float) -> None:
@@ -286,13 +292,17 @@ class Link:
         """Schedule one packet's delivery; accumulate the wire timeline.
 
         ``start`` continues exactly where the previous transmission ends
-        (the same float the old transmit-complete event carried), so every
-        delivery instant matches the per-packet event chain bit for bit.
+        (the same float a transmit-complete event would carry), so every
+        delivery instant matches a per-packet event chain bit for bit.  A
+        packet that finds the wire idle starts now: it is settled on the
+        spot rather than planned.  Callers settle first, so then the plan
+        is empty and the packet is the queue's head.
         """
         sim = self.sim
         start = self._wire_free_at
         now = sim.now
-        if start < now:
+        idle = start <= now
+        if idle:
             start = now
         size_bits = packet.size_bits
         finish = start + size_bits / (self.rate_bps * self.rate_factor)
@@ -304,12 +314,19 @@ class Link:
             if not packet.ecn_ce:
                 packet.ecn_ce = True
                 storm_flipped = True
-        delivery = sim.schedule_at(
-            finish + self.delay, lambda p=packet: self._deliver(p)  # type: ignore[misc]
-        )
-        self._plan.append(
-            [packet, start, finish, size_bits, delivery, storm_counted, storm_flipped]
-        )
+        self._in_flight.append(packet)
+        delivery = sim.schedule_at(finish + self.delay, self._on_delivery)
+        if idle:
+            self.queue.pop()
+            self._bits_settled += size_bits
+            self._packets_settled += 1
+            if storm_counted:
+                self._storm_settled += 1
+            self._settled_until = finish
+        else:
+            self._plan.append(
+                [packet, start, finish, size_bits, delivery, storm_counted, storm_flipped]
+            )
 
     def _settle(self) -> None:
         """Pop packets whose serialization has started off the queue.
@@ -335,15 +352,18 @@ class Link:
     def _unplan_unstarted(self) -> None:
         """Drop every not-yet-started plan entry (after :meth:`_settle`).
 
-        The packets stay buffered; their delivery events are cancelled and
-        storm marks applied at plan time are rolled back, so a re-plan sees
-        them exactly as the old design's queue did.
+        The packets stay buffered; their delivery events are cancelled (their
+        packets are the in-flight tail) and storm marks applied at plan time
+        are rolled back, so a re-plan sees them exactly as a pop-at-transmit
+        queue would.
         """
         plan = self._plan
+        in_flight = self._in_flight
         cancel = self.sim.cancel
         while plan:
             entry = plan.pop()
             cancel(entry[4])  # type: ignore[arg-type]
+            in_flight.pop()
             if entry[6]:
                 entry[0].ecn_ce = False  # type: ignore[union-attr]
         self._wire_free_at = self._settled_until
@@ -355,10 +375,6 @@ class Link:
         assert isinstance(self.queue, DropTailQueue)
         for packet in self.queue.buffered():
             self._plan_packet(packet)
-        if self._plan and self._burst_entry is None:
-            self._burst_entry = self.sim.schedule_at(
-                self._wire_free_at, self._on_burst_end
-            )
 
     def _reschedule_unstarted(self) -> None:
         """Re-plan not-yet-started transmissions under new link state."""
@@ -368,37 +384,26 @@ class Link:
         self._unplan_unstarted()
         self._replan_buffer()
 
-    def _on_burst_end(self) -> None:
-        """Housekeeping event at the planned end of the wire timeline:
-        settles started packets so buffers and counters are exact at rest
-        (between bursts and at the end of a run)."""
-        self._burst_entry = None
-        self._settle()
-        if self._plan:
-            self._burst_entry = self.sim.schedule_at(
-                self._wire_free_at, self._on_burst_end
-            )
+    def _on_delivery(self) -> None:
+        """The one event per packet: hand the in-flight head to the receiver."""
+        self._deliver(self._in_flight.popleft())  # type: ignore[misc]
 
-    # -- legacy per-packet chain (non-FIFO disciplines) --------------------
+    # -- per-packet chain (non-FIFO disciplines) -------------------------
 
     def _transmit_next(self) -> None:
-        if not self.up:
-            self._busy = False
-            return
-        packet = self.queue.pop()
+        packet = self.queue.pop() if self.up else None
+        self._serializing = packet
         if packet is None:
-            self._busy = False
             return
-        self._busy = True
         if self.ecn_storm and packet.ecn_capable:
             packet.ecn_ce = True
             self._storm_settled += 1
         tx_time = packet.size_bits / (self.rate_bps * self.rate_factor)
         self._bits_settled += packet.size_bits
         self._packets_settled += 1
-        self.sim.schedule(tx_time, lambda p=packet: self._on_tx_complete(p))
+        self.sim.schedule(tx_time, self._on_tx_complete)
 
-    def _on_tx_complete(self, packet: Packet) -> None:
-        assert self._deliver is not None
-        self.sim.schedule(self.delay, lambda p=packet: self._deliver(p))
+    def _on_tx_complete(self) -> None:
+        self._in_flight.append(self._serializing)  # type: ignore[arg-type]
+        self.sim.schedule(self.delay, self._on_delivery)
         self._transmit_next()

@@ -19,17 +19,27 @@ class PacketSink(Protocol):
 
 
 class Node:
-    """Common behaviour: named, owns outgoing links keyed by neighbour."""
+    """Common behaviour: named, owns outgoing links keyed by neighbour and
+    a destination-based routing table."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.links: dict[str, Link] = {}
+        #: Destination host -> the outgoing link toward it.
+        self._next_hop: dict[str, Link] = {}
 
     def attach_outgoing(self, neighbour: str, link: Link) -> None:
         """Register the outgoing link towards ``neighbour``."""
         if neighbour in self.links:
             raise ValueError(f"{self.name}: link to {neighbour} already attached")
         self.links[neighbour] = link
+
+    def set_route(self, dst: str, neighbour: str) -> None:
+        """Packets for host ``dst`` leave over the link to ``neighbour``."""
+        link = self.links.get(neighbour)
+        if link is None:
+            raise ValueError(f"{self.name}: no link to {neighbour}")
+        self._next_hop[dst] = link
 
     def receive_packet(self, packet: Packet) -> None:
         """Handle a packet arriving at this node (terminate or forward)."""
@@ -45,7 +55,6 @@ class Host(Node):
     def __init__(self, name: str) -> None:
         super().__init__(name)
         self._flows: dict[str, PacketSink] = {}
-        self._next_hop: dict[str, str] = {}
 
     def register_flow(self, flow_id: str, sink: PacketSink) -> None:
         """Demux arriving packets of ``flow_id`` to ``sink``."""
@@ -64,18 +73,12 @@ class Host(Node):
                 f"{sorted(self._flows)}"
             ) from None
 
-    def set_route(self, dst: str, neighbour: str) -> None:
-        """Packets for host ``dst`` leave via the link to ``neighbour``."""
-        if neighbour not in self.links:
-            raise ValueError(f"{self.name}: no link to {neighbour}")
-        self._next_hop[dst] = neighbour
-
     def send(self, packet: Packet) -> None:
         """Emit a locally generated packet toward its destination."""
-        neighbour = self._next_hop.get(packet.dst)
-        if neighbour is None:
+        link = self._next_hop.get(packet.dst)
+        if link is None:
             raise RuntimeError(f"{self.name}: no route to {packet.dst}")
-        self.links[neighbour].send(packet)
+        link.send(packet)
 
     def receive_packet(self, packet: Packet) -> None:
         """Handle a packet that terminated at this host."""
@@ -92,19 +95,12 @@ class Switch(Node):
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
-        self._next_hop: dict[str, str] = {}
         self.packets_forwarded = 0
-
-    def set_route(self, dst: str, neighbour: str) -> None:
-        """Packets for host ``dst`` are forwarded over the link to ``neighbour``."""
-        if neighbour not in self.links:
-            raise ValueError(f"{self.name}: no link to {neighbour}")
-        self._next_hop[dst] = neighbour
 
     def receive_packet(self, packet: Packet) -> None:
         """Forward a transiting packet toward its destination host."""
-        neighbour = self._next_hop.get(packet.dst)
-        if neighbour is None:
+        link = self._next_hop.get(packet.dst)
+        if link is None:
             raise RuntimeError(f"{self.name}: no route to {packet.dst}")
         self.packets_forwarded += 1
-        self.links[neighbour].send(packet)
+        link.send(packet)

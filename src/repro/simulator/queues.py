@@ -17,7 +17,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from typing import Optional
 
-from .packet import Packet
+from .packet import DEFAULT_POOL, Packet
 
 __all__ = ["QueueDiscipline", "DropTailQueue", "EcnQueue", "PriorityQueue"]
 
@@ -126,15 +126,17 @@ class PriorityQueue(QueueDiscipline):
             worst_index = max(
                 range(len(self._heap)), key=lambda i: (self._heap[i][0], -self._heap[i][1])
             )
-            worst_priority, _seq, _pkt = self._heap[worst_index]
+            worst_priority, _seq, evicted = self._heap[worst_index]
             if packet.priority >= worst_priority:
                 self.drops += 1
                 return False
-            # Evict the worst buffered packet to admit the better one.
+            # Evict the worst buffered packet to admit the better one; the
+            # evicted packet is dropped, so it goes back to the pool.
             self._heap[worst_index] = self._heap[-1]
             self._heap.pop()
             heapq.heapify(self._heap)
             self.drops += 1
+            DEFAULT_POOL.release(evicted)
         heapq.heappush(self._heap, (packet.priority, next(self._counter), packet))
         self.enqueued += 1
         return True

@@ -131,11 +131,7 @@ class Network:
                     "hosts cannot forward transit traffic"
                 )
         for here, nxt in zip(path, path[1:]):
-            node = self.node(here)
-            # Every node a Network creates is a Host or a Switch; the base
-            # Node has no routing table, so narrow before set_route.
-            assert isinstance(node, (Host, Switch))
-            node.set_route(dst_host, nxt)
+            self.node(here).set_route(dst_host, nxt)
         self.routes[(src_host, dst_host)] = tuple(path)
 
     def apply_routing(self, routing: "RoutingProvider") -> int:

@@ -4,13 +4,15 @@ The perf overhaul (engine heap entries, packet pool, batched link
 serialization, cached fluid allocations) must be *behaviour preserving*:
 the optimized tree has to reproduce the exact floats the seed tree
 produced.  This module computes JSON-serializable fingerprints of a
-fluid run, a network-fluid run, a packet-level run, and a handful of
-``water_fill`` vectors, with every float rendered via ``float.hex()`` so
-the comparison in ``tests/test_perf_contracts.py`` is bit-exact.
+fluid run, a network-fluid run, a packet-level run, a packet-level run
+through overlapping bottleneck faults, and a handful of ``water_fill``
+vectors, with every float rendered via ``float.hex()`` so the comparison
+in ``tests/test_perf_contracts.py`` is bit-exact.
 
 The checked-in fixture (``tests/fixtures/perf_contracts_seed.json``) was
-generated on the pre-optimization tree.  Regenerate it only when a PR
-*intentionally* changes simulation numerics:
+generated on the pre-optimization tree; the ``packet_faults`` entry on
+the tree just before the link's one-event-per-hop rewrite.  Regenerate
+it only when a change *intentionally* alters simulation numerics:
 
     PYTHONPATH=src python -m tests.perf_fixtures
 
@@ -141,6 +143,96 @@ def packet_fingerprint() -> dict[str, Any]:
     }
 
 
+def packet_fault_fingerprint() -> dict[str, Any]:
+    """The packet dumbbell replaying overlapping bottleneck faults.
+
+    A rate degradation, an ECN storm and a link flap overlap on
+    ``sw_l->sw_r``, so the link re-plans its unstarted transmissions
+    (cancelled deliveries, a drained-then-refilled plan) while packets are
+    queued and in flight; the storm ends with storm-marked packets still
+    unstarted, so their marks are rolled back.  Job2 runs DCTCP so its
+    packets are ECN-capable and the storm marks them.  App timestamps, the
+    senders' window state and every link's counters are captured: the
+    counters exact at any instant, including the backlog not yet on the
+    wire (``len(link.queue)`` also holds started packets the link has not
+    settled yet, so it is not).
+    """
+    from repro.faults import FaultEvent, FaultSchedule
+    from repro.harness.packetlab import mltcp_config_for, run_packet_jobs
+    from repro.tcp.dctcp import DctcpCC
+    from repro.tcp.mltcp import MLTCPReno
+    from repro.workloads.job import JobSpec
+
+    template = JobSpec(
+        name="Job",
+        comm_bits=4e6,
+        demand_gbps=1.0,
+        compute_time=0.005,
+        jitter_sigma=0.0005,
+    )
+    jobs = [template.with_name("Job1"), template.with_name("Job2")]
+    schedule = FaultSchedule(
+        events=(
+            FaultEvent(kind="bandwidth", time=0.020, duration=0.030, factor=0.5),
+            FaultEvent(kind="ecn_storm", time=0.025, duration=0.015),
+            FaultEvent(kind="link_down", time=0.035, duration=0.004),
+        ),
+        seed=9,
+    )
+    lab = run_packet_jobs(
+        jobs,
+        lambda job: (
+            MLTCPReno(mltcp_config_for(job)) if job.name == "Job1" else DctcpCC()
+        ),
+        bottleneck_bps=1e9,
+        max_iterations=12,
+        until=0.12,
+        seed=5,
+        faults=schedule,
+    )
+    return {
+        "apps": {
+            name: [
+                [
+                    it.index,
+                    _hex(it.comm_start),
+                    _hex(it.comm_end),
+                    _hex(it.iteration_end),
+                ]
+                for it in app.iterations
+            ]
+            for name, app in sorted(lab.apps.items())
+        },
+        "links": {
+            f"{src}->{dst}": [
+                link.bits_sent,
+                link.packets_sent,
+                link.storm_marks,
+                link.queue.enqueued,
+                link.queue.drops,
+                link.random_drops,
+                link.fault_drops,
+                link.queue.enqueued - link.packets_sent,
+                link.conservation_delta(),
+            ]
+            for (src, dst), link in sorted(lab.network.links.items())
+        },
+        "senders": {
+            name: [
+                _hex(sender.cc.cwnd),
+                _hex(sender.cc.ssthresh),
+                _hex(getattr(sender.cc, "alpha", 0.0)),
+                sender.snd_una,
+                sender.segments_sent,
+                sender.retransmissions,
+                sender.timeouts,
+                sender.fast_retransmits,
+            ]
+            for name, sender in sorted(lab.senders.items())
+        },
+    }
+
+
 def water_fill_fingerprint() -> dict[str, Any]:
     """Fixed demand/weight vectors through ``water_fill``, rates in hex."""
     from repro.fluid.allocation import water_fill
@@ -179,6 +271,7 @@ def capture_all() -> dict[str, Any]:
         "fluid": fluid_fingerprint(),
         "network_fluid": network_fluid_fingerprint(),
         "packet": packet_fingerprint(),
+        "packet_faults": packet_fault_fingerprint(),
         "water_fill": water_fill_fingerprint(),
     }
 

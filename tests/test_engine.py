@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.simulator.engine import EventHandle, Simulator
@@ -127,6 +129,109 @@ class TestRunHorizon:
         sim.schedule(0.001, forever)
         sim.run(max_events=100)
         assert sim.events_processed == 100
+
+
+class _NoopMonitor:
+    """A monitor that never objects; attaching it forces the general loop."""
+
+    def violation(self, guard, subject, time, message):
+        return None
+
+
+class _FastOnly(Simulator):
+    """A Simulator whose general loop must never run."""
+
+    __slots__ = ()
+
+    def _run_general(self, until, max_events):
+        raise AssertionError("run(until=...) left the fast loop")
+
+
+def _horizon_script(sim, seed):
+    """A seeded schedule/cancel/``run(until=...)`` script; returns what it saw.
+
+    Delays repeat (0.0 and 0.25) so same-time ties occur; callbacks
+    schedule children and cancel earlier entries; horizons sometimes equal
+    the clock and cancelled entries are left beyond them.  Every
+    observation depends only on the firing order, so two engines that
+    dispatch identically return identical lists.
+    """
+    rng = random.Random(seed)
+    seen = []
+    entries = []
+
+    def event(label):
+        def fire():
+            seen.append((label, sim.now))
+            if rng.random() < 0.3:
+                delay = rng.choice((0.0, 0.25, rng.random()))
+                entries.append(sim.schedule(delay, event(label + "+")))
+            if rng.random() < 0.2:
+                sim.cancel(rng.choice(entries))
+
+        return fire
+
+    for step in range(15):
+        for i in range(rng.randrange(1, 8)):
+            delay = rng.choice((0.0, 0.25, 2.0, rng.random() * 3.0))
+            entries.append(sim.schedule(delay, event(f"{step}.{i}")))
+        for _ in range(rng.randrange(0, 4)):
+            sim.cancel(rng.choice(entries))
+        sim.run(until=sim.now + rng.choice((0.0, 0.1, rng.random())))
+        seen.append(("run", sim.now, sim.pending_events(), sim.events_processed))
+    sim.run()
+    seen.append(("end", sim.now, sim.pending_events(), sim.events_processed))
+    return seen
+
+
+class TestFastHorizonLoop:
+    """``run(until=...)`` without budget, calendar or monitor takes a fast
+    loop; it must dispatch exactly like the general (monitored) one."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_scripts_match_the_general_loop(self, seed):
+        fast = _horizon_script(_FastOnly(), seed)
+        general = _horizon_script(Simulator(monitor=_NoopMonitor()), seed)
+        assert fast == general
+        assert sum(1 for item in fast if item[0] not in ("run", "end")) > 20
+
+    @pytest.mark.parametrize("monitor", [None, _NoopMonitor()])
+    def test_cancelled_entries_beyond_the_horizon(self, monitor):
+        sim = (_FastOnly if monitor is None else Simulator)(monitor=monitor)
+        fired = []
+        dead = sim.schedule(2.0, lambda: fired.append("dead"))
+        sim.schedule(3.0, lambda: fired.append("live"))
+        sim.cancel(dead)
+        sim.run(until=1.0)
+        assert (sim.now, sim.pending_events(), sim.events_processed) == (1.0, 1, 0)
+        assert sim.peek_time() == 3.0
+        sim.run(until=2.5)
+        assert (fired, sim.now, sim.pending_events()) == ([], 2.5, 1)
+        sim.run(until=3.0)
+        assert (fired, sim.now, sim.pending_events()) == (["live"], 3.0, 0)
+        assert sim.events_processed == 1
+
+    @pytest.mark.parametrize("monitor", [None, _NoopMonitor()])
+    def test_resuming_after_a_horizon_keeps_tie_order(self, monitor):
+        sim = (_FastOnly if monitor is None else Simulator)(monitor=monitor)
+        fired = []
+        for name in "abcd":
+            sim.schedule(1.0, lambda n=name: fired.append(n))
+        sim.schedule(0.5, lambda: fired.append("early"))
+        sim.run(until=0.75)
+        assert fired == ["early"]
+        sim.schedule(0.25, lambda: fired.append("e"))  # also at t=1.0
+        sim.run(until=1.0)
+        assert fired == ["early", "a", "b", "c", "d", "e"]
+        assert sim.now == 1.0
+
+    def test_horizon_on_an_event_time_fires_it(self):
+        sim = _FastOnly()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.run(until=1.0)
+        assert fired == [1.0]
+        assert sim.pending_events() == 0
 
 
 class TestIntrospection:

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.harness.packetlab import mltcp_config_for, run_packet_jobs
+from repro.simulator.app import TrainingApp
 from repro.simulator.engine import Simulator
 from repro.simulator.link import Link
 from repro.simulator.node import Host, Switch
 from repro.simulator.packet import ACK_SIZE_BYTES, DATA_HEADER_BYTES, Packet
 from repro.simulator.queues import DropTailQueue
+from repro.tcp.base import TcpReceiver, TcpSender
+from repro.tcp.mltcp import MLTCPReno
+from repro.workloads.job import JobSpec
 
 
 def data_packet(seq=0, dst="r", flow="f"):
@@ -179,3 +184,74 @@ class TestSwitch:
     def test_route_to_unattached_neighbour_rejected(self):
         with pytest.raises(ValueError, match="no link"):
             Switch("sw").set_route("r", "ghost")
+        with pytest.raises(ValueError, match="no link"):
+            Host("h").set_route("r", "ghost")
+
+    def test_rerouting_switches_the_outgoing_link(self):
+        sim = Simulator()
+        switch = Switch("sw")
+        delivered = []
+        for neighbour in ("a", "b"):
+            link = Link(sim, f"sw->{neighbour}", rate_bps=1e9, delay=0.0)
+            link.connect(lambda p, n=neighbour: delivered.append((n, p.seq)))
+            switch.attach_outgoing(neighbour, link)
+        switch.set_route("r", "a")
+        switch.receive_packet(data_packet(1, dst="r"))
+        switch.set_route("r", "b")
+        switch.receive_packet(data_packet(2, dst="r"))
+        sim.run()
+        assert delivered == [("a", 1), ("b", 2)]
+
+
+class TestEventEconomy:
+    """A FIFO link costs one engine event per packet: its delivery."""
+
+    def test_back_to_back_burst_is_one_event_per_packet(self):
+        sim = Simulator()
+        received = []
+        link = Link(sim, "l", rate_bps=1e6, delay=0.01)
+        link.connect(lambda p: received.append(p.seq))
+        for i in range(50):
+            link.send(data_packet(i))
+        sim.run(until=1.0)
+        assert received == list(range(50))
+        assert sim.events_processed == 50
+        assert link.conservation_delta() == 0
+        assert sim.pending_events() == 0
+
+    def test_packet_run_spends_events_only_on_hops_and_timers(self, monkeypatch):
+        timers = {"app": 0, "rto": 0, "delack": 0}
+
+        def counting(cls, name, key):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                timers[key] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        # App phases are counted when scheduled (an upper bound on the ones
+        # that fire); transport timers when they fire, since every ACK
+        # re-arms and cancels the RTO.
+        counting(TrainingApp, "_schedule_epoch", "app")
+        counting(TcpSender, "_on_rto", "rto")
+        counting(TcpReceiver, "_on_delack_timeout", "delack")
+        template = JobSpec(
+            "Job", comm_bits=2e6, demand_gbps=1.0, compute_time=0.005,
+            jitter_sigma=0.0005,
+        )
+        lab = run_packet_jobs(
+            [template.with_name("Job1"), template.with_name("Job2")],
+            lambda job: MLTCPReno(mltcp_config_for(job)),
+            max_iterations=6,
+            until=0.05,
+            seed=2,
+        )
+        links = lab.network.links.values()
+        hops = sum(link.packets_sent for link in links)
+        assert hops > 1000
+        assert timers["app"] > 0
+        assert lab.sim.events_processed <= hops + sum(timers.values())
+        for link in links:
+            assert link.conservation_delta() == 0, link.name

@@ -36,6 +36,7 @@ from .perf_fixtures import (
     FIXTURE_PATH,
     fluid_fingerprint,
     network_fluid_fingerprint,
+    packet_fault_fingerprint,
     packet_fingerprint,
     water_fill_fingerprint,
 )
@@ -57,6 +58,9 @@ class TestSeedEquivalence:
 
     def test_packet_run_is_bit_identical(self, seed_fixture):
         assert packet_fingerprint() == seed_fixture["packet"]
+
+    def test_packet_fault_replay_is_bit_identical(self, seed_fixture):
+        assert packet_fault_fingerprint() == seed_fixture["packet_faults"]
 
     def test_water_fill_vectors_are_bit_identical(self, seed_fixture):
         assert water_fill_fingerprint() == seed_fixture["water_fill"]

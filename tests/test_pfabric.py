@@ -6,7 +6,8 @@ import pytest
 
 from repro.simulator.app import TrainingApp
 from repro.simulator.engine import Simulator
-from repro.simulator.queues import PriorityQueue
+from repro.simulator.packet import PacketPool
+from repro.simulator.queues import DropTailQueue, PriorityQueue
 from repro.simulator.topology import build_dumbbell
 from repro.tcp.base import TcpReceiver
 from repro.tcp.pfabric import PFabricSender
@@ -95,6 +96,66 @@ class TestPFabricSender:
         sender = PFabricSender(sim, net.hosts["s0"], "f2", "r0")
         with pytest.raises(ValueError, match="nbytes"):
             sender.send_bytes(0)
+
+
+def _packets_in_network(net):
+    """Every packet a link still holds: waiting, serializing or propagating.
+
+    A FIFO buffer keeps started packets until the link next settles, so
+    only its unstarted tail is waiting; planned packets are also in
+    flight, hence a set.
+    """
+    held = {}
+    for link in net.links.values():
+        queue = link.queue
+        if isinstance(queue, DropTailQueue):
+            waiting = queue.enqueued - link.packets_sent
+            buffered = list(queue.buffered())[len(queue) - waiting:]
+        else:
+            buffered = [packet for _priority, _seq, packet in queue._heap]
+        serializing = [link._serializing] if link._serializing is not None else []
+        for packet in buffered + list(link._in_flight) + serializing:
+            held[id(packet)] = packet
+    return held
+
+
+class TestPacketPoolBalance:
+    def test_priority_drops_return_packets_to_the_pool(self, monkeypatch):
+        """Tail drops and evictions in a pFabric buffer release their
+        packets, so every acquired packet is released or still in the
+        network, mid-run and at rest."""
+        counts = {"acquired": 0, "released": 0}
+        acquire, release = PacketPool.acquire, PacketPool.release
+
+        def counting_acquire(pool, *args, **kwargs):
+            counts["acquired"] += 1
+            return acquire(pool, *args, **kwargs)
+
+        def counting_release(pool, packet):
+            counts["released"] += packet._pooled
+            release(pool, packet)
+
+        monkeypatch.setattr(PacketPool, "acquire", counting_acquire)
+        monkeypatch.setattr(PacketPool, "release", counting_release)
+        sim, net = make_pair(n_pairs=2, queue_packets=8)
+        done = {}
+        for i in range(2):
+            sender = PFabricSender(
+                sim, net.hosts[f"s{i}"], f"f{i}", f"r{i}", window=64,
+                on_all_acked=lambda i=i: done.setdefault(i, sim.now),
+            )
+            TcpReceiver(sim, net.hosts[f"r{i}"], f"f{i}", f"s{i}")
+            sender.send_bytes(1_000_000)
+        bottleneck = net.links[("sw_l", "sw_r")]
+        sim.run(until=0.0002)
+        live = _packets_in_network(net)
+        assert live and bottleneck.queue.drops > 0
+        assert counts["acquired"] == counts["released"] + len(live)
+        sim.run(until=2.0)
+        assert set(done) == {0, 1}
+        assert bottleneck.queue.drops > 0
+        assert _packets_in_network(net) == {}
+        assert counts["acquired"] == counts["released"]
 
 
 class TestFigure2bAtPacketLevel:
