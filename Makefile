@@ -138,14 +138,32 @@ chaos-smoke:
 # A short seeded churn run of the service daemon with one injected
 # stepper crash: the supervisor must recover from the write-ahead
 # journal and the v6 run-report (with its service snapshot stream) must
-# validate against the schema (docs/SERVICE.md).
+# validate against the schema (docs/SERVICE.md).  Then a second run is
+# killed by a crash with no restart budget after jobs have departed in
+# three different epochs, resumed from the journal on disk, and its
+# per-job fingerprint must equal an uninterrupted run's.
+SERVE_KILL_RUN = PYTHONPATH=src $(PYTHON) -m repro serve --epochs 14 \
+	--rate 1.5 --seed 3 --flash 4:3
 serve-smoke:
 	@tmp=$$(mktemp -d) && \
 	PYTHONPATH=src $(PYTHON) -m repro serve --epochs 10 --rate 0.8 --seed 3 \
 		--flash 4:3 --journal $$tmp/svc.journal --crash-at-epoch 5 \
 		--report $$tmp/svc.run.json && \
 	PYTHONPATH=src $(PYTHON) -m repro validate-report $$tmp/svc.run.json \
-		--schema docs/run_report.schema.json; \
+		--schema docs/run_report.schema.json && \
+	$(SERVE_KILL_RUN) > $$tmp/clean.out && \
+	! $(SERVE_KILL_RUN) --journal $$tmp/kill.journal --crash-at-epoch 11 \
+		--max-recoveries 0 2> $$tmp/kill.err && \
+	PYTHONPATH=src $(PYTHON) -m repro serve --query $$tmp/kill.journal \
+		| $(PYTHON) -c 'import json, sys; \
+		departed = json.load(sys.stdin)["counters"]["departed"]; \
+		print(f"serve-smoke: {departed} job(s) departed before the kill"); \
+		sys.exit(departed < 1)' && \
+	$(SERVE_KILL_RUN) --journal $$tmp/kill.journal --resume > $$tmp/resumed.out && \
+	clean=$$(grep -o 'fingerprint [0-9a-f]*' $$tmp/clean.out) && \
+	resumed=$$(grep -o 'fingerprint [0-9a-f]*' $$tmp/resumed.out) && \
+	echo "serve-smoke: uninterrupted $$clean, resumed $$resumed" && \
+	test -n "$$clean" && test "$$clean" = "$$resumed"; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
 # Bounded model checking of Algorithm 1 on each property's reduced smoke

@@ -29,7 +29,7 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 __all__ = ["RunCheckpoint"]
 
@@ -44,6 +44,17 @@ class RunCheckpoint:
         self._load()
 
     def _load(self) -> None:
+        for record in self._read():
+            if record is None:
+                # A crash mid-append leaves at most one truncated line;
+                # skipping it just means that point is recomputed.
+                self.corrupt_lines += 1
+            else:
+                self._entries[record[0]] = record[1]
+
+    def _read(self) -> Iterator[Optional[Tuple[str, object]]]:
+        """Decode the file line by line: ``(key, value)`` per entry, in
+        append order, or ``None`` for a line that does not decode."""
         if not self.path.exists():
             return
         for line in self.path.read_text().splitlines():
@@ -51,12 +62,12 @@ class RunCheckpoint:
                 continue
             try:
                 record = json.loads(line)
+                key = record["key"]
                 value = pickle.loads(base64.b64decode(record["blob"]))
-                self._entries[record["key"]] = value
             except Exception:
-                # A crash mid-append leaves at most one truncated line;
-                # skipping it just means that point is recomputed.
-                self.corrupt_lines += 1
+                yield None
+            else:
+                yield key, value
 
     def get(self, key: str) -> Tuple[bool, object]:
         """Look up ``key``; returns ``(hit, value)``."""
@@ -72,9 +83,18 @@ class RunCheckpoint:
         """
         self._entries[key] = value
         try:
-            blob = base64.b64encode(pickle.dumps(value)).decode("ascii")
+            blob = self._encode(value)
         except Exception:
             return False
+        return self._append(key, blob)
+
+    @staticmethod
+    def _encode(value: object) -> str:
+        """The line payload for ``value``; raises if it does not pickle."""
+        return base64.b64encode(pickle.dumps(value)).decode("ascii")
+
+    def _append(self, key: str, blob: str) -> bool:
+        """Append and fsync one encoded entry; False on an I/O error."""
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a") as handle:

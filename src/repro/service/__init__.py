@@ -2,7 +2,7 @@
 
 Everything the closed batch experiments cannot exercise lives here: an
 open-loop arrival stream (:mod:`repro.workloads.arrivals`) feeding a live
-array-backed fluid simulation (:mod:`~repro.service.engine`) through
+float-loop fluid simulation (:mod:`~repro.service.engine`) through
 bounded admission control (:mod:`~repro.service.admission`), supervised
 by a watchdog and a write-ahead journal (:mod:`~repro.service.journal`)
 so a killed daemon replays to bit-identical state

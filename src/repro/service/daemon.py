@@ -12,10 +12,12 @@ slice of simulated time) the daemon:
    :class:`repro.guards.StepperWatchdog` — a stall, livelock or injected
    crash triggers a supervised restart from the write-ahead journal
    (bounded by ``max_recoveries``);
-4. commits the complete dynamic state to the journal (the WAL commit
-   point — a crash loses at most the in-flight epoch; a commit that
-   fails every retry is a hard stop, since advancing uncommitted would
-   silently void that bound);
+4. commits the dynamic state to the journal — the running set, the
+   queue, the counters, the RNG and the epoch's departures (the WAL
+   commit point — a crash loses at most the in-flight epoch; a commit
+   that fails every retry is a hard stop, since advancing uncommitted
+   would silently void that bound, and a state that does not encode
+   raises at once);
 5. every ``snapshot_every`` epochs, emits a telemetry snapshot, with a
    per-operation timeout and bounded retry + exponential backoff on the
    snapshot sink (a slow or failing sink degrades telemetry, never the
@@ -49,7 +51,7 @@ from ..workloads.arrivals import ArrivalModel, ArrivalStream
 from ..workloads.job import JobSpec
 from .admission import SHED_POLICIES, AdmissionController
 from .engine import ENGINE_POLICIES, LiveFluidEngine
-from .journal import ServiceJournal
+from .journal import FORMAT_VERSION, ServiceJournal
 
 __all__ = ["ChurnDaemon", "ServiceConfig", "ServiceCrash", "InjectedCrash"]
 
@@ -251,6 +253,9 @@ class ChurnDaemon:
         self._fallback_left = 0
         self._last_factor = 1.0
         self.epoch = 0
+        # Length of engine.completed at the last commit or restore: the
+        # records past it departed in the epoch being run.
+        self._journaled_departures = 0
 
         if self.journal is not None:
             existing = self.journal.meta()
@@ -260,6 +265,12 @@ class ChurnDaemon:
                         f"cannot resume: {self.journal.path} has no service "
                         "meta record"
                     )
+                version = self.journal.format_version()
+                if version != FORMAT_VERSION:
+                    raise ValueError(
+                        f"cannot resume: journal format version {version} "
+                        f"is not this build's version {FORMAT_VERSION}"
+                    )
                 if existing.get("fingerprint") != config.fingerprint():
                     raise ValueError(
                         "cannot resume: journal belongs to a different "
@@ -267,7 +278,7 @@ class ChurnDaemon:
                     )
                 latest = self.journal.latest_epoch()
                 if latest is not None:
-                    self._restore(latest)
+                    self._restore(latest, from_disk=True)
                     # A resume IS a recovery: the previous process died (or
                     # was killed) somewhere past this commit point.
                     self.counters["recoveries"] += 1
@@ -285,6 +296,7 @@ class ChurnDaemon:
                 self.journal.write_meta(
                     {
                         "fingerprint": config.fingerprint(),
+                        "format_version": FORMAT_VERSION,
                         "epochs": config.epochs,
                         "epoch_s": config.epoch_s,
                         "cc": config.cc,
@@ -380,6 +392,10 @@ class ChurnDaemon:
     def _dynamic_state(self) -> dict:
         return {
             "engine": self.engine.state(),
+            "departed": [
+                dict(r)
+                for r in self.engine.completed[self._journaled_departures:]
+            ],
             "admission": self.admission.state(),
             "counters": dict(self.counters),
             "events": [dict(e) for e in self._events],
@@ -389,11 +405,21 @@ class ChurnDaemon:
             "epoch": self.epoch,
         }
 
-    def _restore(self, epoch: int) -> None:
+    def _restore(self, epoch: int, *, from_disk: bool = False) -> None:
+        """Reload committed ``epoch``.  The departure history is this
+        process's own, cut back to the commit — or, ``from_disk``, the
+        journal's per-epoch records."""
         assert self.journal is not None
         state = self.journal.epoch_state(epoch)
+        count = state["engine"]["completed_count"]
+        history = (
+            self.journal.departures(epoch)
+            if from_disk
+            else self.engine.completed[:count]
+        )
         self.engine = self._fresh_engine()
-        self.engine.load_state(state["engine"])
+        self.engine.load_state(state["engine"], history)
+        self._journaled_departures = count
         self.admission.load_state(state["admission"])
         # The journaled count only reflects recoveries committed with a
         # later successful epoch; the in-process count may be ahead of it
@@ -613,8 +639,9 @@ class ChurnDaemon:
                 epoch, state = self.epoch, self._dynamic_state()
 
                 def commit() -> None:
-                    # put() swallows OSError into a False return; surface it
-                    # so the retry wrapper can back off and try again.
+                    # commit_epoch() swallows OSError into a False return;
+                    # surface it so the retry wrapper can back off and try
+                    # again.  An encode error propagates unretried.
                     if not journal.commit_epoch(epoch, state):
                         raise OSError("journal append did not reach disk")
 
@@ -636,6 +663,7 @@ class ChurnDaemon:
                             time=float(self.engine.now),
                         )
                     raise ServiceCrash(detail)
+                self._journaled_departures = len(self.engine.completed)
             self.epoch += 1
         if not self.snapshots or self.snapshots[-1]["epoch"] != self.epoch - 1:
             self.epoch -= 1
@@ -662,6 +690,7 @@ class ChurnDaemon:
             self._next_arrival = 0
             self._fallback_left = 0
             self._last_factor = 1.0
+            self._journaled_departures = 0
             self.epoch = 0
         self.counters["recoveries"] += 1
         detail = (
@@ -712,8 +741,9 @@ class ChurnDaemon:
 def query_journal(path: Path | str) -> dict:
     """Summarize a service journal without running anything.
 
-    The ``repro serve --query`` surface: run identity, committed epochs,
-    and the counters of the latest committed state.
+    The ``repro serve --query`` surface: run identity and journal format
+    version, committed epochs, and the counters of the latest committed
+    state.  Journals of any format version are summarised.
     """
     journal = ServiceJournal(path)
     meta = journal.meta()
@@ -721,6 +751,7 @@ def query_journal(path: Path | str) -> dict:
     summary: dict = {
         "path": str(journal.path),
         "meta": meta,
+        "format_version": journal.format_version(),
         "committed_epochs": len(epochs),
         "latest_epoch": epochs[-1] if epochs else None,
         "corrupt_lines": journal.corrupt_lines,

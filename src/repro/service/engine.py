@@ -1,50 +1,60 @@
-"""Live array-backed fluid engine with job churn.
+"""Live float-loop fluid engine with job churn.
 
 The batch simulator (:mod:`repro.fluid.flowsim`) integrates a *fixed* job
 set over a closed horizon.  The service daemon needs the same fluid
 dynamics — two-phase periodic jobs sharing one bottleneck under
 water-filling — but over an *open* population: jobs are admitted while the
 clock runs, and depart when their iteration budget is spent.  This module
-is that engine: the PR 9 struct-of-arrays state and the bit-exact
-:func:`repro.fluid.allocation.water_fill_array` kernel, wrapped in
-``admit`` / ``step`` / ``state`` instead of a one-shot ``run``.
+is that engine: per-job state in plain Python lists (one list per field,
+in admission order), integrated by a scalar float loop that allocates with
+:func:`repro.fluid.allocation.water_fill` — bit-identical to the
+``water_fill_array`` kernel, and cheaper at the populations a service
+runs, where numpy's fixed per-call cost dominates (the batch engine's
+small-population path makes the same choice).  ``admit`` appends to the
+lists, a departure compacts them with a list filter.
 
 Determinism contract (docs/SERVICE.md): every float the engine computes is
 a pure function of (config, admitted specs in admission order, RNG state).
-``state()`` captures the whole of that — arrays, the numpy ``Generator``,
-the clock and the completion log — as one picklable dict, and
-``load_state`` restores it exactly.  That is what lets the daemon's
-write-ahead journal replay a killed run to bit-identical telemetry.
+``state()`` captures the running set — the lists, the numpy ``Generator``
+state, the clock — as one picklable dict, and ``load_state`` restores it
+exactly, given the departure records the state has seen (the daemon's
+journal stores each of those once, in the epoch it departed).  That is
+what lets the write-ahead journal replay a killed run to bit-identical
+telemetry.
 
 Transitions sweep flows in ascending admission index, matching the batch
-engine's RNG draw order; the water-fill rank is recomputed per allocation
-over the *active* subset, so shares do not depend on departed jobs.
+engine's RNG draw order; the water-fill sorts the *active* subset's names
+per allocation, so shares do not depend on departed jobs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import math
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ..core.units import bps_from_gbps
-from ..fluid.allocation import MLTCPWeighted, water_fill_array
+from ..fluid.allocation import MLTCPWeighted, water_fill
+# Not called here: kept as a module attribute so span tracers that wrap
+# ``engine.water_fill_array`` keep installing against this module.
+from ..fluid.allocation import water_fill_array  # noqa: F401
 from ..workloads.job import JobSpec
 
 __all__ = ["LiveFluidEngine", "ENGINE_POLICIES"]
 
 #: Congestion-control modes the live engine supports.  Both ride the
-#: vectorized water-fill: ``fair`` with unit weights (N synchronized Reno
-#: flows), ``mltcp`` with the paper's linear ``F(bytes_ratio)`` weights.
+#: water-fill: ``fair`` with unit weights (N synchronized Reno flows),
+#: ``mltcp`` with the paper's linear ``F(bytes_ratio)`` weights.
 ENGINE_POLICIES = ("fair", "mltcp")
 
 _EPS_BITS = 1e-6
 _EPS_TIME = 1e-12
 
-PHASE_WAITING = np.int8(0)
-PHASE_COMM = np.int8(1)
-PHASE_COMPUTE = np.int8(2)
-PHASE_DONE = np.int8(3)
+PHASE_WAITING = 0
+PHASE_COMM = 1
+PHASE_COMPUTE = 2
+PHASE_DONE = 3
 
 
 class LiveFluidEngine:
@@ -74,6 +84,13 @@ class LiveFluidEngine:
         Optional pure function of time returning the next fault-state
         change, so integration never steps across a capacity edge.
     """
+
+    #: Per-job lists, index-aligned with ``names``/``specs``; the running
+    #: set that :meth:`state` journals.
+    _STATE_FIELDS = (
+        "phase", "demand_bps", "remaining", "sent", "cur_total", "deadline",
+        "comm_start", "iter_index", "iter_limit", "iter_time_sum", "arrival",
+    )
 
     def __init__(
         self,
@@ -116,21 +133,22 @@ class LiveFluidEngine:
         self.rng = np.random.default_rng(seed)
         self.names: list[str] = []
         self.specs: list[JobSpec] = []
+        self.phase: list[int] = []
+        self.demand_bps: list[float] = []
+        self.remaining: list[float] = []
+        self.sent: list[float] = []
+        self.cur_total: list[float] = []
+        self.deadline: list[float] = []
+        self.comm_start: list[float] = []
+        self.iter_index: list[int] = []
+        self.iter_limit: list[int] = []
+        self.iter_time_sum: list[float] = []
+        self.arrival: list[float] = []
         self.completed: list[dict] = []
-        self._empty()
-
-    def _empty(self) -> None:
-        self.phase = np.zeros(0, dtype=np.int8)
-        self.demand_bps = np.zeros(0)
-        self.remaining = np.zeros(0)
-        self.sent = np.zeros(0)
-        self.cur_total = np.zeros(0)
-        self.deadline = np.zeros(0)
-        self.comm_start = np.zeros(0)
-        self.iter_index = np.zeros(0, dtype=np.int64)
-        self.iter_limit = np.zeros(0, dtype=np.int64)
-        self.iter_time_sum = np.zeros(0)
-        self.arrival = np.zeros(0)
+        # Running SLO tally over ``completed`` (judged, met), so
+        # :meth:`slo_attainment` costs O(1) however long the history.
+        self._slo_judged = 0
+        self._slo_met = 0
 
     # ------------------------------------------------------------------ churn
 
@@ -156,71 +174,76 @@ class LiveFluidEngine:
                 f"job {spec.name!r}: service jobs must carry an "
                 "iteration_limit (open-ended jobs never depart)"
             )
-        start = max(self.clock, spec.start_offset)
+        start = float(max(self.clock, spec.start_offset))
         self.names.append(spec.name)
         self.specs.append(spec)
-        self.phase = np.append(self.phase, PHASE_WAITING)
-        self.demand_bps = np.append(self.demand_bps, spec.demand_bps)
-        self.remaining = np.append(self.remaining, 0.0)
-        self.sent = np.append(self.sent, 0.0)
-        self.cur_total = np.append(self.cur_total, spec.comm_bits)
-        self.deadline = np.append(self.deadline, start)
-        self.comm_start = np.append(self.comm_start, np.nan)
-        self.iter_index = np.append(self.iter_index, 0)
-        self.iter_limit = np.append(self.iter_limit, spec.iteration_limit)
-        self.iter_time_sum = np.append(self.iter_time_sum, 0.0)
-        self.arrival = np.append(self.arrival, start)
+        self.phase.append(PHASE_WAITING)
+        self.demand_bps.append(float(spec.demand_bps))
+        self.remaining.append(0.0)
+        self.sent.append(0.0)
+        self.cur_total.append(float(spec.comm_bits))
+        self.deadline.append(start)
+        self.comm_start.append(math.nan)
+        self.iter_index.append(0)
+        self.iter_limit.append(int(spec.iteration_limit))
+        self.iter_time_sum.append(0.0)
+        self.arrival.append(start)
 
-    def _depart(self, index: int) -> dict:
-        spec = self.specs[index]
-        iterations = int(self.iter_index[index])
-        mean_iter = (
-            float(self.iter_time_sum[index]) / iterations if iterations else None
-        )
-        record = {
+    def _row(self, i: int) -> dict:
+        """Telemetry row of running job ``i`` (schema v6 ``service[].jobs``)."""
+        spec = self.specs[i]
+        iterations = self.iter_index[i]
+        mean_iter = self.iter_time_sum[i] / iterations if iterations else None
+        return {
             "name": spec.name,
-            "arrival_s": float(self.arrival[index]),
-            "departure_s": float(self.clock),
             "iterations": iterations,
             "mean_iteration_s": mean_iter,
-            "ideal_iteration_s": spec.ideal_iteration_time,
             "slo_ok": (
                 mean_iter <= self.slo_factor * spec.ideal_iteration_time
                 if mean_iter is not None
                 else None
             ),
         }
-        self.completed.append(record)
-        return record
+
+    def _tally(self, record: dict) -> None:
+        if record["slo_ok"] is not None:
+            self._slo_judged += 1
+            self._slo_met += bool(record["slo_ok"])
 
     def _compact(self) -> list[dict]:
-        """Remove departed jobs from the arrays; returns their records."""
-        done = np.flatnonzero(self.phase == PHASE_DONE)
-        if done.size == 0:
-            return []
-        records = [self._depart(int(i)) for i in done]
-        keep = np.flatnonzero(self.phase != PHASE_DONE)
-        self.names = [self.names[int(i)] for i in keep]
-        self.specs = [self.specs[int(i)] for i in keep]
-        for field in (
-            "phase", "demand_bps", "remaining", "sent", "cur_total",
-            "deadline", "comm_start", "iter_index", "iter_limit",
-            "iter_time_sum", "arrival",
-        ):
-            setattr(self, field, getattr(self, field)[keep])
+        """Drop departed jobs from the lists; returns their records."""
+        records = []
+        keep = []
+        for i, code in enumerate(self.phase):
+            if code != PHASE_DONE:
+                keep.append(i)
+                continue
+            record = {
+                **self._row(i),
+                "arrival_s": self.arrival[i],
+                "departure_s": float(self.clock),
+                "ideal_iteration_s": self.specs[i].ideal_iteration_time,
+            }
+            self.completed.append(record)
+            self._tally(record)
+            records.append(record)
+        self.names = [self.names[i] for i in keep]
+        self.specs = [self.specs[i] for i in keep]
+        for field in self._STATE_FIELDS:
+            values = getattr(self, field)
+            setattr(self, field, [values[i] for i in keep])
         return records
 
     # ---------------------------------------------------------------- stepping
 
     def _start_comm(self, i: int) -> None:
-        spec = self.specs[i]
-        volume = spec.sample_comm_bits(self.rng)
+        volume = float(self.specs[i].sample_comm_bits(self.rng))
         self.phase[i] = PHASE_COMM
         self.remaining[i] = volume
         self.sent[i] = 0.0
         self.cur_total[i] = volume
         self.comm_start[i] = self.clock
-        self.deadline[i] = np.nan
+        self.deadline[i] = math.nan
 
     def _sweep(self) -> bool:
         """Fire every due transition at ``now`` in ascending index order.
@@ -230,38 +253,32 @@ class LiveFluidEngine:
         zero-length compute phases cascade within one call, exactly like
         the batch engine's same-timestamp event chains.
         """
+        phase, deadline = self.phase, self.deadline
+        due = self.clock + _EPS_TIME
         departed = False
         fired = True
         while fired:
             fired = False
-            for i in range(len(self.names)):
-                phase = self.phase[i]
-                if phase == PHASE_WAITING and self.deadline[i] <= self.clock + _EPS_TIME:
+            for i, code in enumerate(phase):
+                if code == PHASE_WAITING and deadline[i] <= due:
                     self._start_comm(i)
                     fired = True
-                elif phase == PHASE_COMM and self.remaining[i] <= _EPS_BITS:
-                    compute = self.specs[i].sample_compute_time(self.rng)
-                    self.phase[i] = PHASE_COMPUTE
-                    self.deadline[i] = self.clock + compute
+                elif code == PHASE_COMM and self.remaining[i] <= _EPS_BITS:
+                    compute = float(self.specs[i].sample_compute_time(self.rng))
+                    phase[i] = PHASE_COMPUTE
+                    deadline[i] = self.clock + compute
                     if compute > _EPS_TIME:
                         fired = True
-                elif phase == PHASE_COMPUTE and self.deadline[i] <= self.clock + _EPS_TIME:
+                elif code == PHASE_COMPUTE and deadline[i] <= due:
                     self.iter_time_sum[i] += self.clock - self.comm_start[i]
                     self.iter_index[i] += 1
                     if self.iter_index[i] >= self.iter_limit[i]:
-                        self.phase[i] = PHASE_DONE
+                        phase[i] = PHASE_DONE
                         departed = True
                     else:
                         self._start_comm(i)
                     fired = True
         return departed
-
-    def _weights(self, active: np.ndarray) -> np.ndarray:
-        if self.fallback_engaged or self.cc == "fair":
-            return np.ones(active.size)
-        ratio = self.sent[active] / self.cur_total[active]
-        ratio = np.where(ratio > 1.0, 1.0, ratio)
-        return self._slope * ratio + self._intercept
 
     def step(self, until: float, max_steps: Optional[int] = None) -> list[dict]:
         """Advance the fluid state to ``until``; returns departure records.
@@ -277,6 +294,14 @@ class LiveFluidEngine:
         if max_steps is None:
             horizon = max(1.0, (until - self.clock) / self.quantum)
             max_steps = int(50 * max(1, len(self.names)) * horizon)
+        # Loop invariants, hoisted.  The float operations below, and their
+        # order, are the determinism contract: tests/fixtures/
+        # serve_pinned.json pins the results to the ulp.
+        quantum = self.quantum
+        capacity_bps = self.capacity_bps
+        capacity_factor = self._capacity_factor
+        next_transition = self._next_transition
+        slope, intercept = self._slope, self._intercept
         departures: list[dict] = []
         steps = 0
         while self.clock < until - _EPS_TIME:
@@ -289,54 +314,59 @@ class LiveFluidEngine:
                 )
             if self._sweep():
                 departures.extend(self._compact())
-            factor = (
-                self._capacity_factor(self.clock)
-                if self._capacity_factor is not None
-                else 1.0
-            )
-            active = np.flatnonzero(self.phase == PHASE_COMM)
-            rates = np.zeros(active.size)
-            if active.size and factor > 0.0:
-                names = [self.names[int(i)] for i in active]
-                order = sorted(range(len(names)), key=names.__getitem__)
-                rank = np.empty(len(names), dtype=np.int64)
-                rank[order] = np.arange(len(names))
-                rates = water_fill_array(
-                    self.demand_bps[active],
-                    self._weights(active),
-                    self.capacity_bps * factor,
-                    rank=rank,
-                )
-            dt = min(self.quantum, until - self.clock)
-            pending = np.flatnonzero(
-                (self.phase == PHASE_WAITING) | (self.phase == PHASE_COMPUTE)
-            )
-            if pending.size:
-                next_deadline = float(np.min(self.deadline[pending]))
-                if next_deadline > self.clock + _EPS_TIME:
-                    dt = min(dt, next_deadline - self.clock)
-            if active.size:
-                moving = rates > _EPS_BITS
-                if np.any(moving):
-                    drain = self.remaining[active][moving] / rates[moving]
-                    dt = min(dt, float(np.min(drain)))
-            elif pending.size == 0:
+            clock = self.clock
+            factor = capacity_factor(clock) if capacity_factor is not None else 1.0
+            names, phase, deadline = self.names, self.phase, self.deadline
+            remaining, sent, cur_total = self.remaining, self.sent, self.cur_total
+            active: list[int] = []
+            next_deadline = math.inf
+            for i, code in enumerate(phase):
+                if code == PHASE_COMM:
+                    active.append(i)
+                elif code != PHASE_DONE and deadline[i] < next_deadline:
+                    next_deadline = deadline[i]
+            # Rates aligned with ``active``; zero on a downed link.
+            rates = [0.0] * len(active)
+            if active and factor > 0.0:
+                demand_bps = self.demand_bps
+                demands = {names[i]: demand_bps[i] for i in active}
+                if self.fallback_engaged or self.cc == "fair":
+                    weights = dict.fromkeys(demands, 1.0)
+                else:
+                    weights = {}
+                    for i in active:
+                        ratio = sent[i] / cur_total[i]
+                        if ratio > 1.0:
+                            ratio = 1.0
+                        weights[names[i]] = slope * ratio + intercept
+                shares = water_fill(demands, weights, capacity_bps * factor)
+                rates = [shares[names[i]] for i in active]
+            dt = min(quantum, until - clock)
+            if next_deadline > clock + _EPS_TIME:
+                dt = min(dt, next_deadline - clock)
+            if active:
+                for i, rate in zip(active, rates):
+                    if rate > _EPS_BITS:
+                        drain = remaining[i] / rate
+                        if drain < dt:
+                            dt = drain
+            elif next_deadline == math.inf:
                 # Idle fabric: nothing to integrate, jump to the target.
                 self.clock = until
                 break
-            if self._next_transition is not None:
-                edge = self._next_transition(self.clock)
+            if next_transition is not None:
+                edge = next_transition(clock)
                 if edge is not None and edge < until:
-                    dt = min(dt, edge - self.clock)
+                    dt = min(dt, edge - clock)
             dt = max(dt, _EPS_TIME)
-            if active.size:
-                delivered = rates * dt
-                shrunk = self.remaining[active] - delivered
-                self.remaining[active] = np.where(shrunk > 0.0, shrunk, 0.0)
-                grown = self.sent[active] + delivered
-                total = self.cur_total[active]
-                self.sent[active] = np.where(grown < total, grown, total)
-            self.clock += dt
+            for i, rate in zip(active, rates):
+                delivered = rate * dt
+                shrunk = remaining[i] - delivered
+                remaining[i] = shrunk if shrunk > 0.0 else 0.0
+                grown = sent[i] + delivered
+                total = cur_total[i]
+                sent[i] = grown if grown < total else total
+            self.clock = clock + dt
         if self._sweep():
             departures.extend(self._compact())
         return departures
@@ -345,42 +375,24 @@ class LiveFluidEngine:
 
     def job_rows(self) -> list[dict]:
         """Per-running-job telemetry rows (schema v6 ``service[].jobs``)."""
-        rows = []
-        for i, spec in enumerate(self.specs):
-            iterations = int(self.iter_index[i])
-            mean_iter = (
-                float(self.iter_time_sum[i]) / iterations if iterations else None
-            )
-            rows.append(
-                {
-                    "name": spec.name,
-                    "iterations": iterations,
-                    "mean_iteration_s": mean_iter,
-                    "slo_ok": (
-                        mean_iter <= self.slo_factor * spec.ideal_iteration_time
-                        if mean_iter is not None
-                        else None
-                    ),
-                }
-            )
-        return rows
+        return [self._row(i) for i in range(len(self.names))]
 
     def slo_attainment(self) -> Optional[float]:
         """Fraction of departed jobs that met their SLO (None before any)."""
-        judged = [r for r in self.completed if r["slo_ok"] is not None]
-        if not judged:
+        if not self._slo_judged:
             return None
-        return sum(1 for r in judged if r["slo_ok"]) / len(judged)
+        return self._slo_met / self._slo_judged
 
     # ------------------------------------------------------------ persistence
 
-    _STATE_FIELDS = (
-        "phase", "demand_bps", "remaining", "sent", "cur_total", "deadline",
-        "comm_start", "iter_index", "iter_limit", "iter_time_sum", "arrival",
-    )
-
     def state(self) -> dict:
-        """Picklable snapshot of the complete dynamic state."""
+        """Picklable snapshot of the running set and the RNG.
+
+        The departure history is *not* in it — only its length, under
+        ``completed_count``; the caller keeps the records themselves (the
+        daemon journals each once, in the epoch it departed) and hands
+        them back to :meth:`load_state`.
+        """
         payload = {
             "now": self.clock,
             # Value semantics, not a live Generator reference: the journal
@@ -389,21 +401,33 @@ class LiveFluidEngine:
             "rng_state": self.rng.bit_generator.state,
             "names": list(self.names),
             "specs": list(self.specs),
-            "completed": [dict(r) for r in self.completed],
+            "completed_count": len(self.completed),
             "fallback_engaged": self.fallback_engaged,
         }
         for field in self._STATE_FIELDS:
-            payload[field] = getattr(self, field).copy()
+            payload[field] = list(getattr(self, field))
         return payload
 
-    def load_state(self, payload: dict) -> None:
-        """Restore a :meth:`state` snapshot bit-identically."""
+    def load_state(self, payload: dict, completed: Sequence[dict] = ()) -> None:
+        """Restore a :meth:`state` snapshot bit-identically.
+
+        ``completed`` is the departure history up to the snapshot, oldest
+        first; its length must equal the snapshot's ``completed_count``.
+        """
+        if len(completed) != payload["completed_count"]:
+            raise ValueError(
+                f"state has seen {payload['completed_count']} departures but "
+                f"{len(completed)} departure records were supplied"
+            )
         self.clock = payload["now"]
         self.rng = np.random.default_rng()
         self.rng.bit_generator.state = payload["rng_state"]
         self.names = list(payload["names"])
         self.specs = list(payload["specs"])
-        self.completed = [dict(r) for r in payload["completed"]]
         self.fallback_engaged = payload["fallback_engaged"]
         for field in self._STATE_FIELDS:
-            setattr(self, field, payload[field].copy())
+            setattr(self, field, list(payload[field]))
+        self.completed = [dict(r) for r in completed]
+        self._slo_judged = self._slo_met = 0
+        for record in self.completed:
+            self._tally(record)
