@@ -955,7 +955,6 @@ def _serve_command(args) -> int:
             shed_policy=args.shed_policy,
             snapshot_every=args.snapshot_every,
             churn_limit=args.churn_limit,
-            max_recoveries=args.max_recoveries,
             faults=schedule,
         )
     except ValueError as error:
@@ -1525,11 +1524,6 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument(
         "--crash-at-epoch", type=_positive_int, default=None, metavar="N",
         help="inject one stepper crash mid-epoch N (recovery drill)",
-    )
-    serve.add_argument(
-        "--max-recoveries", type=int, default=3, metavar="N",
-        help="supervised restarts before a crash ends the process; 0 makes "
-        "any crash a kill that --resume picks up (default 3)",
     )
     serve.add_argument(
         "--faults", metavar="PATH", default=None,

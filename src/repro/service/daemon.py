@@ -278,7 +278,7 @@ class ChurnDaemon:
                     )
                 latest = self.journal.latest_epoch()
                 if latest is not None:
-                    self._restore(latest, from_disk=True)
+                    self._restore(latest)
                     # A resume IS a recovery: the previous process died (or
                     # was killed) somewhere past this commit point.
                     self.counters["recoveries"] += 1
@@ -405,21 +405,15 @@ class ChurnDaemon:
             "epoch": self.epoch,
         }
 
-    def _restore(self, epoch: int, *, from_disk: bool = False) -> None:
-        """Reload committed ``epoch``.  The departure history is this
-        process's own, cut back to the commit — or, ``from_disk``, the
-        journal's per-epoch records."""
+    def _restore(self, epoch: int) -> None:
+        """Reload committed ``epoch``, with the departure history rebuilt
+        from the journal's per-epoch records (the same path for an
+        in-process recovery and a ``--resume``)."""
         assert self.journal is not None
         state = self.journal.epoch_state(epoch)
-        count = state["engine"]["completed_count"]
-        history = (
-            self.journal.departures(epoch)
-            if from_disk
-            else self.engine.completed[:count]
-        )
         self.engine = self._fresh_engine()
-        self.engine.load_state(state["engine"], history)
-        self._journaled_departures = count
+        self.engine.load_state(state["engine"], self.journal.departures(epoch))
+        self._journaled_departures = state["engine"]["completed_count"]
         self.admission.load_state(state["admission"])
         # The journaled count only reflects recoveries committed with a
         # later successful epoch; the in-process count may be ahead of it

@@ -24,8 +24,8 @@ history rebuilt from the per-epoch records (:meth:`ServiceJournal.\
 departures`).  Because every random draw is journaled inside the engine
 state, the replay is bit-identical to a run that never crashed.
 
-Memory: recovery only ever reads the *latest* committed epoch state (plus,
-when resuming from disk, the per-epoch departure records), but the
+Memory: recovery only ever reads the *latest* committed epoch state (plus
+the per-epoch departure records, read back from the file), but the
 inherited checkpoint keeps every committed blob in RAM for the process
 lifetime — unbounded growth for a long-lived daemon.  The ``retain``
 knob compacts the in-memory map down to the newest N epoch states after
@@ -135,7 +135,7 @@ class ServiceJournal(RunCheckpoint):
 
     def departures(self, through: int) -> list[dict]:
         """The ``departed`` records of every epoch up to ``through``, in
-        epoch order: the departure history a resumed engine starts from.
+        epoch order: the departure history a restored engine starts from.
 
         Read back from the file, since ``retain`` keeps only the newest
         epoch states in memory; a later entry for an epoch supersedes an
